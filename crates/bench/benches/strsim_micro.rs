@@ -1,9 +1,9 @@
 //! Criterion micro-benches for the string-matching substrate: the operators
 //! spend their local CPU here (the naive baseline's hidden cost in §6 is
-//! exactly `levenshtein_bounded` over every stored value).
+//! exactly the bounded check over every stored value).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use sqo_strsim::edit::{levenshtein, levenshtein_bounded};
+use sqo_strsim::edit::{levenshtein, levenshtein_bounded, Verifier};
 use sqo_strsim::qgram::qgrams;
 use sqo_strsim::qsample::qsamples;
 
@@ -24,6 +24,11 @@ fn bench_edit_distance(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("bounded_d2", name), &(a, b), |bench, (a, b)| {
             bench.iter(|| levenshtein_bounded(black_box(a), black_box(b), 2))
+        });
+        // The operators' form: the query compiled once, checked per candidate.
+        let verifier = Verifier::new(a, 2);
+        g.bench_with_input(BenchmarkId::new("compiled_d2", name), &b, |bench, b| {
+            bench.iter(|| black_box(&verifier).distance(black_box(b)))
         });
     }
     // The naive baseline's dominant case: bounded check rejecting on length.

@@ -720,9 +720,11 @@ impl SimilarityEngine {
         self.legs_answered += 1;
         let mut batch: Vec<Posting> = Vec::new();
         for k in keys {
-            batch.extend(
-                self.net.local_prefix_scan(owner, k).into_iter().filter(|p| local_filter(p)),
-            );
+            self.net.local_prefix_visit(owner, k, |p| {
+                if local_filter(p) {
+                    batch.push(p.clone());
+                }
+            });
         }
         if owner != from {
             let payload: usize = batch.iter().map(Item::size_bytes).sum();
@@ -1072,10 +1074,11 @@ impl SimilarityEngine {
     }
 
     /// Distributed prefix scan (shower fan-out), e.g. "all values of
-    /// attribute A". Thin wrapper over `Network::retrieve_lists`, with
-    /// per-partition leg accounting: silenced shower siblings surface as
-    /// addressed-but-unanswered legs instead of vanishing.
-    pub(crate) fn scan_prefix(&mut self, from: PeerId, prefix: &Key) -> Vec<Posting> {
+    /// attribute A": one shared list per answering partition. Thin wrapper
+    /// over `Network::retrieve_lists`, with per-partition leg accounting:
+    /// silenced shower siblings surface as addressed-but-unanswered legs
+    /// instead of vanishing.
+    pub(crate) fn scan_prefix(&mut self, from: PeerId, prefix: &Key) -> Vec<PostingList<Posting>> {
         let mut failed0 = 0u64;
         let got = self.with_leg_retry(|e| {
             failed0 = e.net.metrics().failed_routes;
@@ -1086,7 +1089,7 @@ impl SimilarityEngine {
                 let failed = self.net.metrics().failed_routes - failed0;
                 self.legs_addressed += lists.len() as u64 + failed;
                 self.legs_answered += lists.len() as u64;
-                lists.iter().flat_map(|l| l.iter().cloned()).collect()
+                lists
             }
             Err(_) => {
                 self.legs_addressed += 1;

@@ -19,7 +19,9 @@ use crate::similar::Candidate;
 use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::posting::Posting;
-use sqo_strsim::edit::levenshtein_bounded;
+use sqo_storage::triple::TripleRef;
+use sqo_strsim::edit::Verifier;
+use std::sync::Arc;
 
 impl SimilarityEngine {
     /// One branch of the naive broadcast: forward into partition `part`
@@ -34,9 +36,8 @@ impl SimilarityEngine {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn naive_branch(
         &mut self,
-        s: &str,
+        verifier: &Verifier,
         attr: Option<&str>,
-        d: usize,
         from: PeerId,
         entry: PeerId,
         entry_part: usize,
@@ -52,48 +53,38 @@ impl SimilarityEngine {
             p
         };
         self.legs_answered += 1;
-        let postings = self.net.local_prefix_scan(responder, prefix);
-        // Local comparison at the data peer.
+        // Local comparison at the data peer, over the stored run in place.
         let mut local_matches: Vec<Candidate> = Vec::new();
         let mut payload = 0usize;
-        let mut seen_attr_names: Vec<&str> = Vec::new();
-        for p in &postings {
-            match (attr, p) {
-                (Some(a), Posting::Base { triple, .. } | Posting::ShortValue { triple }) => {
-                    if triple.attr.as_str() != a {
-                        continue;
-                    }
-                    let Some(text) = triple.value.as_str() else { continue };
-                    self.count_comparison();
-                    if levenshtein_bounded(s, text, d).is_some() {
-                        payload += triple.repr_len();
-                        local_matches.push(Candidate {
-                            oid: triple.oid.clone(),
-                            attr: a.to_string(),
-                            text: text.to_string(),
-                        });
-                    }
+        let mut comparisons = 0u64;
+        let mut seen_attr_names: Vec<TripleRef> = Vec::new();
+        self.net.local_prefix_visit(responder, prefix, |p| match (attr, p) {
+            (Some(a), Posting::Base { triple, .. } | Posting::ShortValue { triple }) => {
+                if triple.attr.as_str() != a {
+                    return;
                 }
-                (None, Posting::Base { triple, .. } | Posting::ShortAttr { triple }) => {
-                    let name = triple.attr.as_str();
-                    // One comparison per distinct local name, the way an
-                    // implementation would actually do it.
-                    if !seen_attr_names.contains(&name) {
-                        seen_attr_names.push(name);
-                        self.count_comparison();
-                    }
-                    if levenshtein_bounded(s, name, d).is_some() {
-                        payload += triple.repr_len();
-                        local_matches.push(Candidate {
-                            oid: triple.oid.clone(),
-                            attr: name.to_string(),
-                            text: name.to_string(),
-                        });
-                    }
+                let Some(text) = triple.value.as_str() else { return };
+                comparisons += 1;
+                if verifier.matches(text) {
+                    payload += triple.repr_len();
+                    local_matches.push(Candidate::instance(triple));
                 }
-                _ => {}
             }
-        }
+            (None, Posting::Base { triple, .. } | Posting::ShortAttr { triple }) => {
+                // One comparison per distinct local name, the way an
+                // implementation would actually do it.
+                if !seen_attr_names.iter().any(|t| t.attr == triple.attr) {
+                    seen_attr_names.push(Arc::clone(triple));
+                    comparisons += 1;
+                }
+                if verifier.matches(triple.attr.as_str()) {
+                    payload += triple.repr_len();
+                    local_matches.push(Candidate::schema(triple));
+                }
+            }
+            _ => {}
+        });
+        self.edit_comparisons += comparisons;
         if responder != from && !local_matches.is_empty() {
             self.net.send_direct(responder, from, payload);
         }

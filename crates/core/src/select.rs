@@ -187,7 +187,7 @@ impl SelectTask {
             SelectKind::All { attr } => {
                 let mut matched = Vec::new();
                 for prefix in [keys::attr_scan_prefix(attr), keys::short_value_prefix(attr)] {
-                    for p in e.scan_prefix(from, &prefix) {
+                    for p in e.scan_prefix(from, &prefix).iter().flat_map(|l| l.iter()) {
                         match p {
                             Posting::Base { triple, .. } | Posting::ShortValue { triple }
                                 if triple.attr.as_str() == attr =>

@@ -36,11 +36,12 @@ use sqo_overlay::key::Key;
 use sqo_overlay::peer::PeerId;
 use sqo_storage::keys;
 use sqo_storage::posting::{Object, Posting};
-use sqo_storage::triple::AttrName;
-use sqo_strsim::edit::levenshtein_bounded;
+use sqo_storage::triple::{AttrName, Triple, TripleRef};
+use sqo_strsim::edit::Verifier;
 use sqo_strsim::filters::{count_filter_threshold, length_filter};
 use sqo_strsim::qgram::{qgrams, PositionalQGram};
 use sqo_strsim::qsample::qsamples;
+use std::sync::Arc;
 
 /// Evaluation strategy for string similarity (the three curves of Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,12 +85,46 @@ pub struct SimilarResult {
     pub stats: QueryStats,
 }
 
-/// A stage-1 candidate: a concrete string occurrence on a concrete object.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A stage-1 candidate: a concrete string occurrence on a concrete object,
+/// as a handle onto the stored triple. Candidates sort and dedup by their
+/// [`Candidate::key`] strings, never by the handle.
+#[derive(Debug, Clone)]
 pub(crate) struct Candidate {
-    pub oid: String,
-    pub attr: String,
-    pub text: String,
+    triple: TripleRef,
+    /// Schema level: the text is the attribute *name*.
+    schema: bool,
+}
+
+impl Candidate {
+    /// The value of `triple`, which must be a string (instance level).
+    pub(crate) fn instance(triple: &TripleRef) -> Self {
+        Self { triple: Arc::clone(triple), schema: false }
+    }
+
+    /// The attribute name of `triple` (schema level).
+    pub(crate) fn schema(triple: &TripleRef) -> Self {
+        Self { triple: Arc::clone(triple), schema: true }
+    }
+
+    pub(crate) fn oid(&self) -> &str {
+        &self.triple.oid
+    }
+
+    pub(crate) fn text(&self) -> &str {
+        self.key().2
+    }
+
+    /// `(oid, attr, text)`.
+    pub(crate) fn key(&self) -> (&str, &str, &str) {
+        candidate_key(&self.triple, self.schema)
+    }
+}
+
+/// `(oid, attr, text)` of the candidate `triple` makes at either level.
+fn candidate_key(triple: &Triple, schema: bool) -> (&str, &str, &str) {
+    let attr = triple.attr.as_str();
+    let text = if schema { attr } else { triple.value.as_str().unwrap_or_default() };
+    (&triple.oid, attr, text)
 }
 
 impl SimilarityEngine {
@@ -141,6 +176,8 @@ impl SimilarityEngine {
 /// granularity (see [`crate::engine::ExecStep`]).
 pub struct SimilarTask {
     s: String,
+    /// `s` compiled once for every bounded check of this query.
+    verifier: Verifier,
     attr: Option<String>,
     d: usize,
     from: PeerId,
@@ -219,6 +256,7 @@ impl SimilarTask {
     pub fn new(s: &str, attr: Option<&str>, d: usize, from: PeerId, strategy: Strategy) -> Self {
         Self {
             s: s.to_string(),
+            verifier: Verifier::new(s, d),
             attr: attr.map(str::to_string),
             d,
             from,
@@ -415,13 +453,12 @@ impl SimilarTask {
                             SimState::NaiveRoute { prefixes, idx: idx + 1, at_us: fan.max_end_us };
                         continue;
                     };
-                    let (s, attr, d, from) = (&self.s, &self.attr, self.d, self.from);
+                    let (verifier, attr, from) = (&self.verifier, &self.attr, self.from);
                     let mut acc = self.stats;
                     let (got, end) = engine.charged(&mut acc, fan.fork_us, |e| {
                         e.naive_branch(
-                            s,
+                            verifier,
                             attr.as_deref(),
-                            d,
                             from,
                             entry,
                             entry_part,
@@ -447,8 +484,8 @@ impl SimilarTask {
                     let filters = engine.config().query.filters;
                     let grams_carry =
                         engine.config().publish.grams_carry_value && self.attr.is_some();
-                    let (s, attr, s_len, d, strategy, from) =
-                        (&self.s, &self.attr, self.s_len, self.d, self.strategy, self.from);
+                    let (verifier, attr, s_len, d, strategy, from) =
+                        (&self.verifier, &self.attr, self.s_len, self.d, self.strategy, self.from);
                     let mut acc = self.stats;
                     let ((candidates, n_candidates), end) = engine.charged(&mut acc, at, |e| {
                         // ---- Stage 1.5: aggregation + count filter -------
@@ -459,36 +496,36 @@ impl SimilarTask {
                         // counting distinct grams would under-count
                         // candidates whose grams repeat ("aaaa") — an
                         // unsound prune.
-                        let mut shared_grams: FxHashMap<Candidate, usize> = FxHashMap::default();
+                        let schema = attr.is_none();
+                        let mut shared_grams: FxHashMap<(&str, &str, &str), (usize, &TripleRef)> =
+                            FxHashMap::default();
                         for p in &postings {
-                            let cand = match (attr, p) {
-                                (Some(a), Posting::InstanceGram { triple, .. }) => Candidate {
-                                    oid: triple.oid.clone(),
-                                    attr: a.clone(),
-                                    text: triple.value.as_str().unwrap_or_default().to_string(),
-                                },
-                                (None, Posting::SchemaGram { triple, .. }) => Candidate {
-                                    oid: triple.oid.clone(),
-                                    attr: triple.attr.as_str().to_string(),
-                                    text: triple.attr.as_str().to_string(),
-                                },
+                            let triple = match (schema, p) {
+                                (false, Posting::InstanceGram { triple, .. })
+                                | (true, Posting::SchemaGram { triple, .. }) => triple,
                                 _ => continue,
                             };
-                            *shared_grams.entry(cand).or_default() += 1;
+                            shared_grams
+                                .entry(candidate_key(triple, schema))
+                                .or_insert((0, triple))
+                                .0 += 1;
                         }
                         // Count filter — meaningful only when all grams were
                         // probed.
                         let mut candidates: Vec<Candidate> = shared_grams
                             .into_iter()
-                            .filter(|(cand, shared)| {
+                            .filter(|((_, _, text), (shared, _))| {
                                 if !(filters.count && strategy == Strategy::QGrams) {
                                     return true;
                                 }
                                 let threshold =
-                                    count_filter_threshold(s_len, cand.text.chars().count(), q, d);
+                                    count_filter_threshold(s_len, text.chars().count(), q, d);
                                 *shared as i64 >= threshold
                             })
-                            .map(|(cand, _)| cand)
+                            .map(|(_, (_, triple))| Candidate {
+                                triple: Arc::clone(triple),
+                                schema,
+                            })
                             .collect();
 
                         // ---- Short-string supplement ---------------------
@@ -500,38 +537,32 @@ impl SimilarTask {
                                 Some(a) => keys::short_value_prefix(a),
                                 None => keys::short_attr_prefix(),
                             };
-                            for p in e.scan_prefix(from, &prefix) {
-                                let cand = match (attr, &p) {
+                            let lists = e.scan_prefix(from, &prefix);
+                            for p in lists.iter().flat_map(|l| l.iter()) {
+                                let cand = match (attr, p) {
                                     (Some(a), Posting::ShortValue { triple }) => {
-                                        if triple.attr.as_str() != a.as_str() {
+                                        if triple.attr.as_str() != a.as_str()
+                                            || triple.value.as_str().is_none()
+                                        {
                                             continue;
                                         }
-                                        let Some(text) = triple.value.as_str() else { continue };
-                                        Candidate {
-                                            oid: triple.oid.clone(),
-                                            attr: a.clone(),
-                                            text: text.to_string(),
-                                        }
+                                        Candidate::instance(triple)
                                     }
-                                    (None, Posting::ShortAttr { triple }) => Candidate {
-                                        oid: triple.oid.clone(),
-                                        attr: triple.attr.as_str().to_string(),
-                                        text: triple.attr.as_str().to_string(),
-                                    },
+                                    (None, Posting::ShortAttr { triple }) => {
+                                        Candidate::schema(triple)
+                                    }
                                     _ => continue,
                                 };
                                 if filters.length
-                                    && !length_filter(cand.text.chars().count(), s_len, d)
+                                    && !length_filter(cand.text().chars().count(), s_len, d)
                                 {
                                     continue;
                                 }
                                 candidates.push(cand);
                             }
                         }
-                        candidates.sort_by(|a, b| {
-                            (&a.oid, &a.attr, &a.text).cmp(&(&b.oid, &b.attr, &b.text))
-                        });
-                        candidates.dedup();
+                        candidates.sort_by(|a, b| a.key().cmp(&b.key()));
+                        candidates.dedup_by(|a, b| a.key() == b.key());
                         let n_candidates = candidates.len();
 
                         // ---- Pre-verification (value-carrying postings) --
@@ -542,14 +573,10 @@ impl SimilarTask {
                         // the edit-distance check *before* stage 2 — objects
                         // are then fetched only for true matches.
                         if grams_carry {
-                            let mut surviving = Vec::with_capacity(candidates.len());
-                            for cand in candidates {
+                            candidates.retain(|cand| {
                                 e.count_comparison();
-                                if sqo_strsim::edit::within_distance(s, &cand.text, d) {
-                                    surviving.push(cand);
-                                }
-                            }
-                            candidates = surviving;
+                                verifier.matches(cand.text())
+                            });
                         }
                         (candidates, n_candidates)
                     });
@@ -564,18 +591,16 @@ impl SimilarTask {
                     if self.is_naive {
                         // The peers already verified; count the contacted
                         // partitions and dedup before assembly.
-                        self.candidates.sort_by(|a, b| {
-                            (&a.oid, &a.attr, &a.text).cmp(&(&b.oid, &b.attr, &b.text))
-                        });
-                        self.candidates.dedup();
+                        self.candidates.sort_by(|a, b| a.key().cmp(&b.key()));
+                        self.candidates.dedup_by(|a, b| a.key() == b.key());
                         self.stats.candidates = self.candidates.len();
                         self.stats.probes = self.partitions_contacted;
                     }
                     let mut missing: Vec<String> = self
                         .candidates
                         .iter()
-                        .map(|c| c.oid.clone())
-                        .filter(|oid| !cache.contains_key(oid))
+                        .filter(|c| !cache.contains_key(c.oid()))
+                        .map(|c| c.oid().to_string())
                         .collect();
                     missing.sort_unstable();
                     missing.dedup();
@@ -612,18 +637,18 @@ impl SimilarTask {
 
                 SimState::Verify { at_us: at } => {
                     let candidates = std::mem::take(&mut self.candidates);
-                    let (s, d) = (&self.s, self.d);
+                    let verifier = &self.verifier;
                     let mut acc = self.stats;
                     let (matches, _end) = engine.charged(&mut acc, at, |e| {
                         let mut matches = Vec::new();
                         for cand in candidates {
-                            let Some(object) = cache.get(&cand.oid) else { continue };
+                            let Some(object) = cache.get(cand.oid()) else { continue };
                             e.count_comparison();
-                            if let Some(distance) = levenshtein_bounded(s, &cand.text, d) {
+                            if let Some(distance) = verifier.distance(cand.text()) {
                                 matches.push(SimilarMatch {
-                                    oid: cand.oid,
-                                    attr: AttrName::new(cand.attr),
-                                    matched: cand.text,
+                                    oid: cand.oid().to_string(),
+                                    attr: cand.triple.attr.clone(),
+                                    matched: cand.text().to_string(),
                                     distance,
                                     object: object.clone(),
                                 });

@@ -242,35 +242,36 @@ impl ExecStep for JoinTask {
                     // Line 1: L = Retrieve(key(ln)) — every triple of the
                     // left attribute, via prefix fan-out (plus the
                     // short-value side family).
-                    let (ln, from) = (self.ln.clone(), self.from);
+                    let (ln, from) = (self.ln.as_str(), self.from);
                     let mut acc = self.stats;
-                    let (mut left, end) = engine.charged(&mut acc, at_us, |e| {
-                        let mut left: Vec<(String, String)> = Vec::new();
-                        for prefix in [keys::attr_scan_prefix(&ln), keys::short_value_prefix(&ln)] {
-                            for p in e.scan_prefix(from, &prefix) {
-                                match p {
-                                    Posting::Base { triple, .. }
-                                    | Posting::ShortValue { triple }
-                                        if triple.attr.as_str() == ln =>
-                                    {
-                                        if let Some(s) = triple.value.as_str() {
-                                            left.push((triple.oid.clone(), s.to_string()));
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                            }
-                        }
-                        left
+                    let (lists, end) = engine.charged(&mut acc, at_us, |e| {
+                        let mut lists = e.scan_prefix(from, &keys::attr_scan_prefix(ln));
+                        lists.extend(e.scan_prefix(from, &keys::short_value_prefix(ln)));
+                        lists
                     });
                     self.stats = acc;
+                    // Sort, dedup and sample borrowed pairs; only the picks
+                    // are copied out of the shared lists.
+                    let mut left: Vec<(&str, &str)> = lists
+                        .iter()
+                        .flat_map(|l| l.iter())
+                        .filter_map(|p| match p {
+                            Posting::Base { triple, .. } | Posting::ShortValue { triple }
+                                if triple.attr.as_str() == ln =>
+                            {
+                                Some((triple.oid.as_str(), triple.value.as_str()?))
+                            }
+                            _ => None,
+                        })
+                        .collect();
                     left.sort_unstable();
                     left.dedup();
                     if let Some(limit) = self.left_limit {
                         left = stratified_sample(left, limit);
                     }
                     self.left_size = left.len();
-                    self.left = left;
+                    self.left =
+                        left.into_iter().map(|(oid, v)| (oid.to_string(), v.to_string())).collect();
                     // Lines 3–6: per-left similarity selections, up to
                     // `window` in flight from the moment the scan returns.
                     self.fill_window(end);

@@ -121,10 +121,10 @@ impl SimilarityEngine {
                 self.net.forward_to(entry, p);
                 p
             };
-            for p in self.net.local_prefix_scan(responder, &prefix) {
-                let Some(t) = p.as_base() else { continue };
+            self.net.local_prefix_visit(responder, &prefix, |p| {
+                let Some(t) = p.as_base() else { return };
                 if t.attr.as_str() != attr {
-                    continue;
+                    return;
                 }
                 if let Some(x) = t.value.as_float() {
                     if domain.is_none() {
@@ -132,7 +132,7 @@ impl SimilarityEngine {
                     }
                     local.push(x);
                 }
-            }
+            });
             if !local.is_empty() {
                 break;
             }

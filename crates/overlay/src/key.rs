@@ -132,6 +132,14 @@ impl Key {
 
     /// Concatenation `self · other`.
     pub fn concat(&self, other: &Key) -> Key {
+        if self.len.is_multiple_of(8) {
+            // Byte-aligned (every storage key constructor): `other`'s packed
+            // bytes, zero padding included, are the tail as they stand.
+            let mut bytes = Vec::with_capacity(self.bytes.len() + other.bytes.len());
+            bytes.extend_from_slice(&self.bytes);
+            bytes.extend_from_slice(&other.bytes);
+            return Key { bytes, len: self.len + other.len };
+        }
         let mut k = self.clone();
         for i in 0..other.len {
             k.push_bit(other.bit(i));

@@ -953,29 +953,11 @@ impl<T: Item> Network<T> {
         !self.cfg.uniform_refs && self.sink.is_some()
     }
 
-    /// Choose among equally-good candidates: smallest service backlog when
-    /// load-aware selection is active (random among ties), uniform random
-    /// otherwise.
-    fn pick_among(&mut self, cands: &[PeerId]) -> PeerId {
-        debug_assert!(!cands.is_empty());
-        if !self.load_aware() {
-            return cands[self.rng.gen_range(0..cands.len())];
-        }
-        let sink = self.sink.as_ref().expect("load_aware implies a sink");
-        let backlogs: SmallVec<[u64; 8]> = cands.iter().map(|p| sink.busy_until_us(*p)).collect();
-        let min = *backlogs.iter().min().expect("non-empty");
-        let tied: SmallVec<[PeerId; 8]> =
-            cands.iter().zip(&backlogs).filter(|(_, b)| **b == min).map(|(p, _)| *p).collect();
-        tied[self.rng.gen_range(0..tied.len())]
-    }
-
     /// Select an alive reference of `peer` at level `l`, falling back to
     /// alive structural replicas of the referenced partitions. Uniform
     /// random by default; shortest-backlog when load-aware selection is
     /// active (see [`NetworkConfig::uniform_refs`]).
     fn pick_alive_ref(&mut self, peer: PeerId, l: usize) -> Option<PeerId> {
-        // Arena lookups are by (peer, level, index) — no slice borrow held
-        // across the RNG draws, so nothing needs cloning.
         let n = self.routing.level_len(peer, l);
         if n == 0 {
             return None;
@@ -983,27 +965,28 @@ impl<T: Item> Network<T> {
         if self.load_aware() {
             // All alive references — and, for dead ones, the alive
             // structural replicas that make identical routing progress —
-            // are equivalent next hops; prefer the least-loaded.
-            let mut cands: SmallVec<[PeerId; 8]> = SmallVec::new();
-            for i in 0..n {
-                let cand = self.routing.get(peer, l, i);
-                if self.peers[cand.index()].alive {
-                    if !cands.contains(&cand) {
-                        cands.push(cand);
+            // are equivalent next hops; prefer the least-loaded. Each
+            // candidate counts once, at its first occurrence.
+            let (peers, part_peers) = (&self.peers, &self.part_peers);
+            let alive = move |p: &&PeerId| peers[p.index()].alive;
+            let reached = self
+                .routing
+                .refs(peer, l)
+                .iter()
+                .flat_map(move |cand| {
+                    if peers[cand.index()].alive {
+                        std::slice::from_ref(cand)
+                    } else {
+                        &part_peers[peers[cand.index()].partition as usize][..]
                     }
-                    continue;
-                }
-                let part = self.peers[cand.index()].partition as usize;
-                for &rep in &self.part_peers[part] {
-                    if self.peers[rep.index()].alive && !cands.contains(&rep) {
-                        cands.push(rep);
-                    }
-                }
-            }
-            if cands.is_empty() {
-                return None;
-            }
-            return Some(self.pick_among(&cands));
+                })
+                .filter(alive);
+            let first = reached.clone();
+            let cands = reached
+                .enumerate()
+                .filter(move |&(j, p)| !first.clone().take(j).any(|q| q == p))
+                .map(|(_, p)| *p);
+            return pick_among(&mut self.rng, self.sink.as_deref(), cands);
         }
         let start = self.rng.gen_range(0..n);
         for i in 0..n {
@@ -1024,14 +1007,10 @@ impl<T: Item> Network<T> {
     /// Some alive peer of partition `part` — uniform random, or the one
     /// with the shortest backlog when load-aware selection is active.
     fn alive_member(&mut self, part: usize) -> Option<PeerId> {
-        let members = &self.part_peers[part];
-        let alive: SmallVec<[PeerId; 4]> =
-            members.iter().copied().filter(|p| self.peers[p.index()].alive).collect();
-        if alive.is_empty() {
-            None
-        } else {
-            Some(self.pick_among(&alive))
-        }
+        let sink = if self.load_aware() { self.sink.as_deref() } else { None };
+        let peers = &self.peers;
+        let alive = self.part_peers[part].iter().copied().filter(|p| peers[p.index()].alive);
+        pick_among(&mut self.rng, sink, alive)
     }
 
     /// Service backlog of `peer` as reported by the installed sink
@@ -1279,18 +1258,20 @@ impl<T: Item> Network<T> {
         Ok((owner, out))
     }
 
-    /// Local prefix scan at `peer` — free of messages, but accounted as
-    /// local work (and as CPU occupancy on the virtual clock).
-    pub fn local_prefix_scan(&mut self, peer: PeerId, key: &Key) -> Vec<T> {
-        let (items, touched) = self.peers[peer.index()].scan_prefix(key);
-        self.charge_scan(peer, touched);
-        items
-    }
-
     /// Zero-copy local prefix scan: the shared list under `key` at `peer`
-    /// (same accounting as [`Self::local_prefix_scan`]).
+    /// (same accounting as [`Self::local_prefix_visit`]).
     pub fn local_prefix_list(&mut self, peer: PeerId, key: &Key) -> PostingList<T> {
         self.scan_prefix_list(peer, key)
+    }
+
+    /// Local prefix scan at `peer`: visit the items under `key` by
+    /// reference, in stored order. Free of messages, but accounted as local
+    /// work (and as CPU occupancy on the virtual clock). Callers filter or
+    /// project in `visit` and copy only what they keep.
+    pub fn local_prefix_visit(&mut self, peer: PeerId, key: &Key, mut visit: impl FnMut(&T)) {
+        let run = self.peers[peer.index()].store.prefix_entries(key);
+        run.iter().flat_map(|(_, l)| l.iter()).for_each(&mut visit);
+        self.charge_scan(peer, run.len() as u64);
     }
 
     /// Local range scan at `peer`.
@@ -1310,6 +1291,28 @@ impl<T: Item> Network<T> {
     pub fn forward_to(&mut self, from: PeerId, to: PeerId) {
         self.charge_forward(from, to);
     }
+}
+
+/// Choose among equally-good candidates (no duplicates): the smallest
+/// service backlog in `sink` when given, random among ties; uniform random
+/// otherwise. `None` for no candidates. Counts, then indexes — the sequence
+/// is walked again instead of collected, so the choice allocates nothing
+/// and draws exactly one `gen_range(0..tied)` value.
+fn pick_among(
+    rng: &mut StdRng,
+    sink: Option<&dyn EventSink>,
+    cands: impl Iterator<Item = PeerId> + Clone,
+) -> Option<PeerId> {
+    let min = sink.and_then(|s| cands.clone().map(|p| s.busy_until_us(p)).min());
+    let tied = |p: &PeerId| match (sink, min) {
+        (Some(s), Some(m)) => s.busy_until_us(*p) == m,
+        _ => true,
+    };
+    let n = cands.clone().filter(tied).count();
+    if n == 0 {
+        return None;
+    }
+    cands.filter(tied).nth(rng.gen_range(0..n))
 }
 
 #[cfg(test)]

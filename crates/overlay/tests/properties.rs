@@ -41,6 +41,17 @@ proptest! {
         prop_assert_eq!(k.common_prefix_len(&p), l);
     }
 
+    /// Concatenation equals bit-by-bit concatenation, whether or not the
+    /// left key ends on a byte boundary.
+    #[test]
+    fn concat_equals_bitwise_concatenation(a in bits(), b in bits(), aligned in any::<bool>()) {
+        let a = if aligned { &a[..a.len() / 8 * 8] } else { &a[..] };
+        let ka = Key::from_bits(a.iter().copied());
+        let kb = Key::from_bits(b.iter().copied());
+        let joined = Key::from_bits(a.iter().chain(&b).copied());
+        prop_assert_eq!(ka.concat(&kb), joined);
+    }
+
     /// common_prefix_len is symmetric and bounded by both lengths.
     #[test]
     fn common_prefix_symmetric(a in bits(), b in bits()) {

@@ -355,6 +355,9 @@ fn de_key(d: &mut Dec<'_>) -> R<Key> {
     if bytes.len() != len.div_ceil(8) {
         return Err(SnapError::Corrupt("key byte count does not match bit length"));
     }
+    if !len.is_multiple_of(8) && bytes[bytes.len() - 1] & (0xFF >> (len % 8)) != 0 {
+        return Err(SnapError::Corrupt("key has nonzero bits past its length"));
+    }
     Ok(Key::from_raw_parts(bytes, len))
 }
 

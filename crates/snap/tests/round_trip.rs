@@ -258,6 +258,32 @@ fn envelope_is_versioned_and_decode_is_total() {
     let mut trailing = bytes.clone();
     trailing.push(0);
     assert!(matches!(trailing, ref b if Snapshot::from_bytes(b).is_err()));
+
+    // A key with a nonzero bit past its length (a partition path ending
+    // mid-byte, its encoding located in the artifact) is corrupt, not a
+    // panic.
+    let (at, encoded) = engine
+        .network()
+        .paths()
+        .iter()
+        .filter(|p| p.len() % 8 != 0)
+        .map(|p| {
+            let mut enc = (p.as_bytes().len() as u64).to_le_bytes().to_vec();
+            enc.extend_from_slice(p.as_bytes());
+            enc.extend_from_slice(&(p.len() as u64).to_le_bytes());
+            enc
+        })
+        .find_map(|enc| {
+            let mut hits = bytes.windows(enc.len()).enumerate().filter(|(_, w)| *w == enc);
+            match (hits.next(), hits.next()) {
+                (Some((at, _)), None) => Some((at, enc)),
+                _ => None,
+            }
+        })
+        .expect("some unaligned path is encoded exactly once");
+    let mut padded = bytes.clone();
+    padded[at + encoded.len() - 9] |= 1;
+    assert!(matches!(Snapshot::from_bytes(&padded), Err(SnapError::Corrupt(_))));
 }
 
 /// A restored world continues the original's RNG stream and counters: the

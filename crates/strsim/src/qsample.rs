@@ -69,7 +69,7 @@ pub fn is_complete_sample(len: usize, q: usize, d: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edit::within_distance;
+    use crate::edit::levenshtein_bounded;
     use crate::qgram::qgrams;
 
     #[test]
@@ -118,7 +118,7 @@ mod tests {
             (3, "ximilarityqueriesonxstructureddataxx".to_string()), // mixed
         ];
         for (d, mutated) in mutations {
-            assert!(within_distance(base, &mutated, d + 2), "sanity");
+            assert!(levenshtein_bounded(base, &mutated, d + 2).is_some(), "sanity");
             let sample = qsamples(base, q, d);
             assert!(is_complete_sample(base.chars().count(), q, d));
             let found = sample.iter().any(|g| mutated.contains(&g.gram));

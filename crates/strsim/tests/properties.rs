@@ -6,7 +6,7 @@
 //! index.
 
 use proptest::prelude::*;
-use sqo_strsim::edit::{levenshtein, levenshtein_bounded};
+use sqo_strsim::edit::{levenshtein, levenshtein_bounded, Verifier};
 use sqo_strsim::filters::{count_filter_threshold, length_filter, position_filter};
 use sqo_strsim::qgram::{padded_qgrams, qgram_count, qgrams};
 use sqo_strsim::qsample::{is_complete_sample, qsamples};
@@ -14,6 +14,28 @@ use std::collections::HashMap;
 
 fn word() -> impl Strategy<Value = String> {
     "[a-f]{0,16}"
+}
+
+/// `a` with `edits` pseudo-random single-character edits (insert, delete or
+/// substitute), drawing replacement characters from `a`'s own alphabet plus
+/// a non-ASCII one, so the result stays within `edits` of `a`.
+fn mutate(a: &str, edits: usize, seed: u64) -> String {
+    const ALPHABET: [char; 4] = ['a', 'b', 'é', '日'];
+    let mut b: Vec<char> = a.chars().collect();
+    let mut s = seed;
+    for _ in 0..edits {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let pos = (s >> 33) as usize % (b.len() + 1);
+        let c = ALPHABET[(s >> 3) as usize % ALPHABET.len()];
+        match (s >> 13) % 3 {
+            0 if pos < b.len() => b[pos] = c,
+            1 if pos < b.len() => {
+                b.remove(pos);
+            }
+            _ => b.insert(pos, c),
+        }
+    }
+    b.into_iter().collect()
 }
 
 fn shared_qgram_count(a: &str, b: &str, q: usize) -> usize {
@@ -129,5 +151,28 @@ proptest! {
             prop_assert!(all.contains(&(g.gram.clone(), g.pos)));
         }
         prop_assert!(qsamples(&a, q, d).len() <= d + 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+    /// The compiled verifier agrees with the one-shot bounded check and with
+    /// the exact distance, in both directions: non-ASCII characters, empty
+    /// strings, and patterns on both sides of the 64-character word size
+    /// (the bit-parallel kernel and the banded fallback).
+    #[test]
+    fn verifier_matches_bounded_and_exact(
+        a in "[abé日]{0,72}",
+        edits in 0usize..9,
+        seed in 0u64..1_000_000,
+        d in 0usize..7,
+    ) {
+        let b = mutate(&a, edits, seed);
+        let exact = levenshtein(&a, &b);
+        let want = (exact <= d).then_some(exact);
+        prop_assert_eq!(Verifier::new(&a, d).distance(&b), want);
+        prop_assert_eq!(Verifier::new(&b, d).distance(&a), want);
+        prop_assert_eq!(levenshtein_bounded(&a, &b, d), want);
     }
 }
