@@ -292,7 +292,6 @@ pub fn run_latency_sweep(cfg: &LatencyBenchConfig) -> LatencySweep {
                     zipf_s: cfg.zipf_s,
                     sticky_initiators: cfg.sticky_initiators,
                     api: combo.api,
-                    shards: 1,
                     seed: cfg.seed,
                 };
                 let report = run_driver(&mut engine, "word", &words, &driver_cfg);

@@ -110,7 +110,6 @@ pub struct ThroughputPoint {
     /// `"serial"` (global binary heap) or `"sharded"` (windowed core).
     pub mode: String,
     pub shards: usize,
-    pub threads: bool,
     pub queries: usize,
     pub events: u64,
     pub elapsed_ms: f64,
@@ -127,15 +126,12 @@ pub struct ThroughputPoint {
     pub windows_swept: u64,
     /// Swept windows with an empty bucket — lookahead stalls.
     pub empty_windows: u64,
-    /// Events exchanged through cross-shard mailboxes (threaded only).
-    pub mailbox_events: u64,
 }
 
 fn point_of(run: &ScaleRun, out: &sqo_sim::ScaleOutcome, cfg: &ScaleConfig) -> ThroughputPoint {
     ThroughputPoint {
         mode: run.mode.clone(),
         shards: run.shards,
-        threads: run.threads,
         queries: cfg.queries,
         events: run.events,
         elapsed_ms: run.elapsed_ms,
@@ -147,13 +143,11 @@ fn point_of(run: &ScaleRun, out: &sqo_sim::ScaleOutcome, cfg: &ScaleConfig) -> T
         shard_events_min: run.events_per_shard.iter().copied().min().unwrap_or(0),
         windows_swept: run.windows_swept,
         empty_windows: run.empty_windows,
-        mailbox_events: run.mailbox_events,
     }
 }
 
 /// Run the event-core sweep over `topo`: the serial baseline, then the
-/// windowed core at each of `shard_counts` (and, when `threaded`, a
-/// threaded run at the largest shard count). Each engine configuration is
+/// windowed core at each of `shard_counts`. Each engine configuration is
 /// timed `repeats` times and the fastest run reported — one-core CI boxes
 /// are noisy. Returns the points (serial first), whether every engine
 /// produced the same [`ScaleOutcome`](sqo_sim::ScaleOutcome), and the
@@ -163,7 +157,6 @@ pub fn measure_throughput(
     topo: &Topology,
     base: &ScaleConfig,
     shard_counts: &[usize],
-    threaded: bool,
     repeats: usize,
 ) -> (Vec<ThroughputPoint>, bool, Option<ScaleRun>) {
     let repeats = repeats.max(1);
@@ -178,7 +171,7 @@ pub fn measure_throughput(
         best.expect("repeats >= 1")
     };
 
-    let serial_cfg = ScaleConfig { shards: 1, threads: false, ..*base };
+    let serial_cfg = ScaleConfig { shards: 1, ..*base };
     let (serial_out, serial_run) = best(&serial_cfg, false);
     let serial_eps = serial_run.events_per_sec;
     let mut points = vec![point_of(&serial_run, &serial_out, &serial_cfg)];
@@ -197,11 +190,7 @@ pub fn measure_throughput(
         p
     };
     for &s in shard_counts {
-        points.push(sweep(ScaleConfig { shards: s, threads: false, ..*base }));
-    }
-    if threaded {
-        let s = shard_counts.iter().copied().max().unwrap_or(2);
-        points.push(sweep(ScaleConfig { shards: s, threads: true, ..*base }));
+        points.push(sweep(ScaleConfig { shards: s, ..*base }));
     }
     (points, deterministic, best_sharded)
 }

@@ -1,4 +1,4 @@
-//! `ScaleSim` — the sharded parallel event core for very large overlays.
+//! `ScaleSim` — the sharded windowed event core for very large overlays.
 //!
 //! [`NetSim`](crate::NetSim) charges virtual time *analytically*: a whole
 //! `Retrieve` (route chain, shower fan-out, replies) is folded into the
@@ -26,11 +26,9 @@
 //! arrival = service_completion + link_latency ≥ t + service + link_min ≥ (k+1)W
 //! ```
 //!
-//! i.e. strictly after the current window. In threaded execution,
-//! emissions cross shards through per-destination mailboxes exchanged at
-//! the window barrier; single-threaded, they insert directly into the
-//! destination ring (legal for the same reason: they can only land in
-//! windows not yet swept). This is the classic conservative
+//! i.e. strictly after the current window. Emissions therefore insert
+//! directly into the destination shard's ring: they can only land in
+//! windows not yet swept. This is the classic conservative
 //! (Chandy–Misra-style) lookahead argument with the minimum
 //! service-plus-link time as the safety window; a `debug_assert` enforces
 //! it on every emission.
@@ -40,24 +38,26 @@
 //! Within a window each shard sorts its bucket by the global event key
 //! `(at_us, qid, step)` — `(qid, step)` is unique per message, so the key
 //! is total; every per-decision random draw is a **stateless hash** of
-//! `(seed, qid, step)` rather than a shared RNG stream. A peer's event sequence — and therefore its `busy_until`
-//! evolution — is thus identical for *any* shard count and for threaded
-//! or single-threaded execution, and the run's [`ScaleOutcome`] (event
-//! count, completion times, checksum) is bit-identical across all of them
+//! `(seed, qid, step)` rather than a shared RNG stream. A peer's event
+//! sequence — and therefore its `busy_until` evolution — is thus identical
+//! for *any* shard count, and the run's [`ScaleOutcome`] (event count,
+//! completion times, checksum) is bit-identical across all of them
 //! (pinned by the `scale_smoke` tests). The serial baseline
 //! ([`run_serial`]) executes the same events on one global binary heap
 //! ordered by the same key, so it produces the same outcome by
 //! construction — what differs is wall-clock: windowed bucket sorting
-//! beats per-event heap churn even on one core, and threads parallelize
-//! shards on many.
+//! beats per-event heap churn.
+//!
+//! The core is single-threaded on purpose: on two cores, a
+//! barrier-synchronized one-thread-per-shard variant measured 0.27–0.33×
+//! the serial baseline against 1.6–2.0× for this loop — the per-window
+//! barriers cost more than a window's work.
 
 use serde::Serialize;
 use sqo_obs::MetricsRegistry;
 use sqo_overlay::peer::Item;
 use sqo_overlay::{Key, Network, PeerId};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Barrier, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 // ----------------------------------------------------------------------
 // Topology: the read-only overlay snapshot
@@ -67,8 +67,7 @@ use std::time::Instant;
 /// paths, peer→partition assignment, the flattened routing arena and the
 /// per-partition member lists — everything message-level simulation needs,
 /// nothing it can mutate. Snapshotting decouples the event core from the
-/// network's interior mutability (metrics, RNG), which is what lets shards
-/// share one topology across threads without locks.
+/// network's interior mutability (metrics, RNG).
 pub struct Topology {
     paths: Vec<Key>,
     /// Peer → partition index.
@@ -170,10 +169,6 @@ pub struct ScaleConfig {
     pub queries: usize,
     /// Shard count of the windowed core ([`run_sharded`]); clamped to ≥ 1.
     pub shards: usize,
-    /// Execute shards on OS threads (one per shard, barrier-synchronized).
-    /// The outcome is identical either way; wall-clock gains require
-    /// multiple cores.
-    pub threads: bool,
     /// Stateless-randomness seed (initiators, targets, jitter draws).
     pub seed: u64,
     /// Minimum link latency — together with `service_us` it bounds the
@@ -198,7 +193,6 @@ impl Default for ScaleConfig {
         Self {
             queries: 1_000,
             shards: 2,
-            threads: false,
             seed: 7,
             link_min_us: 500,
             link_jitter_us: 1_500,
@@ -421,7 +415,7 @@ impl RunCtx<'_> {
 // ----------------------------------------------------------------------
 
 /// The deterministic half of a run: bit-identical for the serial baseline
-/// and every sharded/threaded configuration — the invariant the
+/// and every sharded configuration — the invariant the
 /// determinism tests pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ScaleOutcome {
@@ -440,14 +434,13 @@ pub struct ScaleOutcome {
 /// The performance half: wall-clock measurements of one engine run, plus
 /// the per-shard telemetry of the windowed core (how evenly the event
 /// load spread, how often the conservative lookahead swept an empty
-/// window, how much crossed shards through mailboxes). None of it feeds
+/// window). None of it feeds
 /// back into the simulation — [`ScaleOutcome`] stays bit-identical.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScaleRun {
     /// `"serial"` (global binary heap) or `"sharded"` (windowed core).
     pub mode: String,
     pub shards: usize,
-    pub threads: bool,
     pub events: u64,
     pub elapsed_ms: f64,
     pub events_per_sec: f64,
@@ -457,19 +450,14 @@ pub struct ScaleRun {
     /// Conservative windows swept, summed over shards (0 for serial).
     pub windows_swept: u64,
     /// Swept windows whose bucket was empty — the conservative lookahead's
-    /// stall counter: barriers crossed with nothing to do.
+    /// stall counter: windows swept with nothing to do.
     pub empty_windows: u64,
-    /// Events that crossed shards through mailboxes (threaded runs only;
-    /// the single-threaded core inserts directly into destination rings).
-    pub mailbox_events: u64,
-    /// Deepest single mailbox drain observed (threaded runs only).
-    pub mailbox_peak: u64,
 }
 
 impl ScaleRun {
     /// Fold this run into a metrics registry under the `sim.*` schema:
     /// throughput and RSS gauges, plus the `sim.shard.*` occupancy /
-    /// imbalance gauges, window-stall counters, mailbox depths and the
+    /// imbalance gauges, window-stall counters and the
     /// events-per-shard histogram.
     pub fn export_metrics(&self, m: &mut MetricsRegistry) {
         m.gauge_set("sim.events_per_sec", self.events_per_sec);
@@ -486,10 +474,8 @@ impl ScaleRun {
         m.gauge_set("sim.shard.events_max", max as f64);
         m.gauge_set("sim.shard.events_min", min as f64);
         m.gauge_set("sim.shard.imbalance", if mean > 0.0 { max as f64 / mean } else { 1.0 });
-        m.gauge_set("sim.shard.mailbox_peak", self.mailbox_peak as f64);
         m.counter_add("sim.shard.windows_swept", self.windows_swept);
         m.counter_add("sim.shard.empty_windows", self.empty_windows);
-        m.counter_add("sim.shard.mailbox_events", self.mailbox_events);
         for &e in &self.events_per_shard {
             m.record("sim.shard.events", e);
         }
@@ -586,6 +572,20 @@ impl SimState for GlobalState {
     }
 }
 
+/// The [`ScaleRun`] of a serial-engine run: one "shard", no windows.
+fn serial_run(events: u64, elapsed: Duration) -> ScaleRun {
+    ScaleRun {
+        mode: "serial".into(),
+        shards: 1,
+        events,
+        elapsed_ms: elapsed.as_secs_f64() * 1e3,
+        events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
+        events_per_shard: vec![events],
+        windows_swept: 0,
+        empty_windows: 0,
+    }
+}
+
 /// The serial baseline: every event on **one global binary heap** ordered
 /// by the event key — the direct analogue of the classic single event
 /// loop. Same [`ScaleOutcome`] as the sharded core by construction;
@@ -609,19 +609,7 @@ pub fn run_serial(topo: &Topology, cfg: &ScaleConfig) -> (ScaleOutcome, ScaleRun
     }
     let elapsed = t0.elapsed();
     let outcome = finish(&ctx, &st.qstate, events);
-    let run = ScaleRun {
-        mode: "serial".into(),
-        shards: 1,
-        threads: false,
-        events,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
-        events_per_shard: vec![events],
-        windows_swept: 0,
-        empty_windows: 0,
-        mailbox_events: 0,
-        mailbox_peak: 0,
-    };
+    let run = serial_run(events, elapsed);
     (outcome, run)
 }
 
@@ -697,7 +685,7 @@ pub enum ScalePhase {
 /// drains before the bound completes normally.
 ///
 /// Resuming — serially ([`resume_serial`]) or on the windowed core
-/// ([`resume_sharded`], any shard count, threaded or not) — produces the
+/// ([`resume_sharded`], any shard count) — produces the
 /// uninterrupted run's [`ScaleOutcome`] bit for bit.
 pub fn run_serial_until(topo: &Topology, cfg: &ScaleConfig, stop_us: u64) -> ScalePhase {
     let ctx = build_ctx(topo, cfg);
@@ -732,19 +720,7 @@ pub fn run_serial_until(topo: &Topology, cfg: &ScaleConfig, stop_us: u64) -> Sca
     }
     let elapsed = t0.elapsed();
     let outcome = finish(&ctx, &st.qstate, events);
-    let run = ScaleRun {
-        mode: "serial".into(),
-        shards: 1,
-        threads: false,
-        events,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
-        events_per_shard: vec![events],
-        windows_swept: 0,
-        empty_windows: 0,
-        mailbox_events: 0,
-        mailbox_peak: 0,
-    };
+    let run = serial_run(events, elapsed);
     ScalePhase::Done(outcome, run)
 }
 
@@ -779,19 +755,7 @@ pub fn resume_serial(
     }
     let elapsed = t0.elapsed();
     let outcome = finish(&ctx, &st.qstate, events);
-    let run = ScaleRun {
-        mode: "serial".into(),
-        shards: 1,
-        threads: false,
-        events,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
-        events_per_shard: vec![events],
-        windows_swept: 0,
-        empty_windows: 0,
-        mailbox_events: 0,
-        mailbox_peak: 0,
-    };
+    let run = serial_run(events, elapsed);
     (outcome, run)
 }
 
@@ -813,8 +777,6 @@ struct Shard {
     /// Telemetry (never read by the handler — pure observation).
     windows_swept: u64,
     empty_windows: u64,
-    mailbox_events: u64,
-    mailbox_peak: u64,
 }
 
 /// One shard's **calendar ring** of pending events: slot `w & mask`
@@ -826,7 +788,7 @@ struct Shard {
 /// spread and by `service + max_scan + link_min + jitter`) lands within
 /// `mask + 1` windows of the cursor; `insert` asserts it.
 ///
-/// Kept apart from [`Shard`] so the single-threaded loop can borrow one
+/// Kept apart from [`Shard`] so the window loop can borrow one
 /// shard's state mutably while inserting emissions into **any** shard's
 /// ring — the lookahead invariant makes that safe (every emission lands
 /// in a later window).
@@ -924,9 +886,9 @@ impl SimState for ShardState<'_> {
 }
 
 impl Shard {
-    /// Process one sorted window bucket. Safe to run concurrently with
-    /// other shards' buckets of the same window: the lookahead invariant
-    /// guarantees no emission lands inside it.
+    /// Process one sorted window bucket. The lookahead invariant
+    /// guarantees no emission lands inside it, so the order in which the
+    /// shards' buckets of one window run does not matter.
     fn run_evs(&mut self, evs: &[Ev], ctx: &RunCtx<'_>, emit: &mut impl FnMut(Ev)) {
         self.events += evs.len() as u64;
         let mut st =
@@ -938,15 +900,14 @@ impl Shard {
     }
 }
 
-/// The sharded windowed core. `cfg.threads` selects barrier-synchronized
-/// OS threads (one per shard) over the single-threaded shard loop; the
-/// [`ScaleOutcome`] is identical either way.
+/// The sharded windowed core; its [`ScaleOutcome`] equals [`run_serial`]'s
+/// for every shard count.
 pub fn run_sharded(topo: &Topology, cfg: &ScaleConfig) -> (ScaleOutcome, ScaleRun) {
     sharded_core(topo, cfg, None)
 }
 
 /// Resume a paused run ([`run_serial_until`]) on the windowed core — any
-/// shard count, threaded or not; the [`ScaleOutcome`] matches the
+/// shard count; the [`ScaleOutcome`] matches the
 /// uninterrupted serial run bit for bit. The checkpoint's global state is
 /// strided back onto the shards (`busy_until` of peer `p` to shard
 /// `p % shards`); per-query progress is replicated to every shard and
@@ -972,7 +933,7 @@ fn sharded_core(
     // so any width ≤ `service_us + link_min_us` is conservative. Take the
     // largest power of two under the bound — window arithmetic in the
     // insert hot path becomes a shift, and wider windows mean fewer
-    // sweeps and barriers for the same guarantee.
+    // sweeps for the same guarantee.
     let bound_us = cfg.service_us + cfg.link_min_us.max(1);
     let shift = bound_us.ilog2();
     let window_us = 1u64 << shift;
@@ -1030,8 +991,6 @@ fn sharded_core(
             events: 0,
             windows_swept: 0,
             empty_windows: 0,
-            mailbox_events: 0,
-            mailbox_peak: 0,
         })
         .collect();
     if let Some(ck) = resume {
@@ -1053,11 +1012,7 @@ fn sharded_core(
     }
 
     let t0 = Instant::now();
-    if cfg.threads && shards_n > 1 {
-        run_windows_threaded(&ctx, &mut shards, &mut rings, w0);
-    } else {
-        run_windows_serial(&ctx, &mut shards, &mut rings, w0);
-    }
+    run_windows(&ctx, &mut shards, &mut rings, w0);
     let elapsed = t0.elapsed();
 
     // Each query's progress lives on its initiator's shard; collect from
@@ -1073,26 +1028,23 @@ fn sharded_core(
     let run = ScaleRun {
         mode: "sharded".into(),
         shards: shards_n,
-        threads: cfg.threads && shards_n > 1,
         events,
         elapsed_ms: elapsed.as_secs_f64() * 1e3,
         events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
         events_per_shard: shards.iter().map(|s| s.events).collect(),
         windows_swept: shards.iter().map(|s| s.windows_swept).sum(),
         empty_windows: shards.iter().map(|s| s.empty_windows).sum(),
-        mailbox_events: shards.iter().map(|s| s.mailbox_events).sum(),
-        mailbox_peak: shards.iter().map(|s| s.mailbox_peak).max().unwrap_or(0),
     };
     (outcome, run)
 }
 
-/// Single-threaded window loop: sweep the calendars window by window
+/// The window loop: sweep the calendars window by window
 /// (empty slots cost one `take` of an empty vector), stop when no ring
 /// has pending events. Emissions insert **directly** into the destination
 /// shard's ring — no outbox, no second pass — which is legal mid-window
 /// because the lookahead invariant puts every emission in a later window
 /// than any bucket still to be processed this sweep.
-fn run_windows_serial(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring], w0: u64) {
+fn run_windows(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring], w0: u64) {
     let n = shards.len();
     let shift = rings[0].shift;
     let mut w = w0;
@@ -1117,81 +1069,6 @@ fn run_windows_serial(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring]
         }
         w += 1;
     }
-}
-
-/// Threaded window loop: one OS thread per shard, barrier-synchronized.
-/// Mailbox `m[i][j]` carries shard `i`'s emissions for shard `j`; writers
-/// fill between the first and second barrier, owners drain between the
-/// second and third — no mailbox is read while written.
-fn run_windows_threaded(ctx: &RunCtx<'_>, shards: &mut [Shard], rings: &mut [Ring], w0: u64) {
-    let n = shards.len();
-    let barrier = Barrier::new(n);
-    let pendings: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let mailboxes: Vec<Vec<Mutex<Vec<Ev>>>> =
-        (0..n).map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect()).collect();
-
-    std::thread::scope(|scope| {
-        for (sh, ring) in shards.iter_mut().zip(rings.iter_mut()) {
-            let (barrier, pendings, mailboxes) = (&barrier, &pendings, &mailboxes);
-            scope.spawn(move || {
-                let id = sh.id;
-                let shift = ring.shift;
-                let mut out: Vec<Vec<Ev>> = vec![Vec::new(); n];
-                let mut w = w0;
-                loop {
-                    pendings[id].store(ring.pending as u64, AtomicOrdering::Relaxed);
-                    barrier.wait();
-                    // Every thread computes the same sum, so all break on
-                    // the same window.
-                    let total: u64 = pendings.iter().map(|p| p.load(AtomicOrdering::Relaxed)).sum();
-                    if total == 0 {
-                        break;
-                    }
-                    let mut evs = ring.take(w);
-                    sh.windows_swept += 1;
-                    if evs.is_empty() {
-                        sh.empty_windows += 1;
-                    }
-                    if !evs.is_empty() {
-                        evs.sort_unstable_by_key(Ev::key128);
-                        sh.run_evs(&evs, ctx, &mut |e| {
-                            debug_assert!(
-                                e.at_us >> shift > w,
-                                "lookahead violation: emission into the current window"
-                            );
-                            let dest = e.peer as usize % n;
-                            // Own-shard emissions skip the mailbox.
-                            if dest == id {
-                                ring.insert(e);
-                            } else {
-                                out[dest].push(e);
-                            }
-                        });
-                        ring.put_back(w, evs);
-                    }
-                    for (dest, lane) in out.iter_mut().enumerate() {
-                        if !lane.is_empty() {
-                            mailboxes[id][dest].lock().expect("mailbox").append(lane);
-                        }
-                    }
-                    barrier.wait();
-                    for row in mailboxes {
-                        let mut lane = row[id].lock().expect("mailbox");
-                        let depth = lane.len() as u64;
-                        if depth > 0 {
-                            sh.mailbox_events += depth;
-                            sh.mailbox_peak = sh.mailbox_peak.max(depth);
-                        }
-                        for ev in lane.drain(..) {
-                            ring.insert(ev);
-                        }
-                    }
-                    barrier.wait();
-                    w += 1;
-                }
-            });
-        }
-    });
 }
 
 // ----------------------------------------------------------------------
@@ -1246,12 +1123,9 @@ mod tests {
         let (serial, _) = run_serial(&topo, &cfg);
         assert_eq!(serial.queries_done, 64, "all queries complete: {serial:?}");
         for shards in [1usize, 2, 3, 4] {
-            for threads in [false, true] {
-                let c = ScaleConfig { shards, threads, ..cfg };
-                let (out, run) = run_sharded(&topo, &c);
-                assert_eq!(out, serial, "shards={shards} threads={threads} diverged");
-                assert_eq!(run.shards, shards);
-            }
+            let (out, run) = run_sharded(&topo, &ScaleConfig { shards, ..cfg });
+            assert_eq!(out, serial, "shards={shards} diverged");
+            assert_eq!(run.shards, shards);
         }
     }
 
@@ -1277,12 +1151,9 @@ mod tests {
         assert_eq!(resumed, full, "serial resume diverged");
 
         for shards in [1usize, 2, 4] {
-            for threads in [false, true] {
-                let c = ScaleConfig { shards, threads, ..cfg };
-                let (out, run) = resume_sharded(&topo, &c, &ckpt);
-                assert_eq!(out, full, "shards={shards} threads={threads} resume diverged");
-                assert_eq!(run.events_per_shard.iter().sum::<u64>(), run.events - ckpt.events);
-            }
+            let (out, run) = resume_sharded(&topo, &ScaleConfig { shards, ..cfg }, &ckpt);
+            assert_eq!(out, full, "shards={shards} resume diverged");
+            assert_eq!(run.events_per_shard.iter().sum::<u64>(), run.events - ckpt.events);
         }
     }
 
@@ -1338,34 +1209,25 @@ mod tests {
     fn per_shard_telemetry_accounts_for_every_event() {
         let net = small_net();
         let topo = Topology::of_network(&net);
-        let cfg = ScaleConfig {
-            queries: 64,
-            shards: 4,
-            threads: true,
-            arrival_spread_us: 5_000,
-            ..Default::default()
-        };
+        let cfg =
+            ScaleConfig { queries: 64, shards: 4, arrival_spread_us: 5_000, ..Default::default() };
         let (out, run) = run_sharded(&topo, &cfg);
         assert_eq!(run.events_per_shard.len(), 4);
         assert_eq!(run.events_per_shard.iter().sum::<u64>(), run.events);
         assert!(run.windows_swept > 0, "windows were swept");
         assert!(run.windows_swept >= run.empty_windows);
-        assert!(run.mailbox_events > 0, "threaded run crossed shards through mailboxes");
-        assert!(run.mailbox_peak > 0 && run.mailbox_peak <= run.mailbox_events);
 
         // The telemetry is observation only: the deterministic outcome
         // still matches the serial baseline.
         let (serial, serial_run) = run_serial(&topo, &cfg);
         assert_eq!(out, serial);
         assert_eq!(serial_run.events_per_shard, vec![serial_run.events]);
-        assert_eq!(serial_run.mailbox_events, 0);
 
         let mut m = MetricsRegistry::default();
         run.export_metrics(&mut m);
         assert_eq!(m.gauge("sim.shard.count"), Some(4.0));
         assert!(m.gauge("sim.shard.imbalance").unwrap() >= 1.0);
         assert_eq!(m.counter("sim.shard.windows_swept"), run.windows_swept);
-        assert_eq!(m.counter("sim.shard.mailbox_events"), run.mailbox_events);
         let h = m.histogram("sim.shard.events").expect("events-per-shard histogram");
         assert_eq!(h.count(), 4);
     }

@@ -25,8 +25,8 @@
 //!   grid this way without rebuilding the network per cell.
 //! * **Replay** — the scale core's event-level image
 //!   ([`ScaleCheckpoint`]) rides along, so a
-//!   paused million-peer run resumes on *any* shard count or threading
-//!   mode and still lands on the uninterrupted
+//!   paused million-peer run resumes serially or on *any* shard count
+//!   and still lands on the uninterrupted
 //!   [`ScaleOutcome`](sqo_sim::ScaleOutcome).
 //!
 //! ## Artifact format
@@ -96,7 +96,10 @@ use std::fmt;
 /// `gave_up`), driver checkpoints carry the early/late phase
 /// accumulators, repair totals and diagnostics, and pending fault /
 /// fault-clear events serialize alongside arrivals and churn.
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// v3: driver checkpoints drop the event-queue lane count and the
+/// per-entry lane (the driver runs on one [`EventQueue`](sqo_sim::EventQueue)).
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Artifact magic: "SQO SNapshot".
 pub const MAGIC: [u8; 4] = *b"SQSN";

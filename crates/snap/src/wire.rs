@@ -739,13 +739,11 @@ fn de_netsim_state(d: &mut Dec<'_>) -> R<NetSimState> {
 
 pub fn driver_checkpoint(e: &mut Enc, c: &DriverCheckpoint) {
     let q = &c.queue;
-    e.u32(q.lanes);
     e.u64(q.seq);
     e.u64(q.now_us);
-    e.seq(&q.entries, |e, (at, seq, lane, ev)| {
+    e.seq(&q.entries, |e, (at, seq, ev)| {
         e.u64(*at);
         e.u64(*seq);
-        e.u32(*lane);
         match ev {
             EvSnap::Arrive { client } => {
                 e.u8(0);
@@ -788,14 +786,12 @@ pub fn driver_checkpoint(e: &mut Enc, c: &DriverCheckpoint) {
 }
 
 pub fn de_driver_checkpoint(d: &mut Dec<'_>) -> R<DriverCheckpoint> {
-    let lanes = d.u32()?;
     let seq = d.u64()?;
     let now_us = d.u64()?;
     let entries = d.seq(|d| {
         Ok((
             d.u64()?,
             d.u64()?,
-            d.u32()?,
             match d.u8()? {
                 0 => EvSnap::Arrive { client: d.u32()? },
                 1 => EvSnap::Churn { idx: d.u32()? },
@@ -806,7 +802,7 @@ pub fn de_driver_checkpoint(d: &mut Dec<'_>) -> R<DriverCheckpoint> {
         ))
     })?;
     Ok(DriverCheckpoint {
-        queue: QueueState { lanes, seq, now_us, entries },
+        queue: QueueState { seq, now_us, entries },
         issued: d.seq(|d| d.u64())?,
         initiators: d.opt(|d| d.seq(|d| Ok(PeerId(d.u32()?))))?,
         client_rngs: d.seq(|d| de_rng_words(d))?,

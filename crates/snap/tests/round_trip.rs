@@ -1,6 +1,6 @@
 //! The correctness bar of `sqo-snap`: checkpoint → serialize → restore →
 //! run-to-end must be **byte-identical** to the run that never stopped —
-//! across operators, cache on/off, and queue shard counts — and forks of
+//! across operators and cache on/off — and forks of
 //! one warm world must be mutually byte-identical.
 
 use sqo_cache::BrokerConfig;
@@ -24,7 +24,7 @@ fn build(words: &[String]) -> SimilarityEngine {
     EngineBuilder::new().peers(64).q(2).seed(3).build_with_rows(&rows)
 }
 
-fn workload(cache: BrokerConfig, shards: usize) -> DriverConfig {
+fn workload(cache: BrokerConfig) -> DriverConfig {
     DriverConfig {
         clients: 4,
         queries_per_client: 3,
@@ -44,7 +44,6 @@ fn workload(cache: BrokerConfig, shards: usize) -> DriverConfig {
         churn: vec![ChurnEvent::kill(150_000, 0.05), ChurnEvent::kill(10_000_000, 0.01)],
         cache,
         sticky_initiators: true,
-        shards,
         seed: 7,
         ..DriverConfig::default()
     }
@@ -56,49 +55,46 @@ fn json(r: &DriverReport) -> String {
 
 /// The tentpole pin: pause at a quiesce boundary, freeze the whole world
 /// to bytes, thaw in a fresh engine, resume — the final report matches
-/// the uninterrupted run byte for byte. Pinned across the cache axis and
-/// every queue shard count (the default mix already spans `similar`,
-/// `topn`, and `simjoin`).
+/// the uninterrupted run byte for byte. Pinned across the cache axis (the
+/// default mix already spans `similar`, `topn`, and `simjoin`).
 #[test]
 fn paused_run_resumes_to_a_byte_identical_report() {
     let words = words();
     for cache in [BrokerConfig::default(), BrokerConfig::enabled()] {
-        for shards in [1usize, 2, 8] {
-            let cfg = workload(cache, shards);
+        let cfg = workload(cache);
 
-            let mut uninterrupted = build(&words);
-            let report = run_driver(&mut uninterrupted, "word", &words, &cfg);
-            // Cut a third of the way into the measured span: with sparse
-            // arrivals the driver quiesces between queries, so a boundary
-            // at/after any mid-run instant exists.
-            let stop = report.virtual_span_us / 3;
-            let baseline = json(&report);
+        let mut uninterrupted = build(&words);
+        let report = run_driver(&mut uninterrupted, "word", &words, &cfg);
+        // Cut a third of the way into the measured span: with sparse
+        // arrivals the driver quiesces between queries, so a boundary
+        // at/after any mid-run instant exists.
+        let stop = report.virtual_span_us / 3;
+        let baseline = json(&report);
 
-            let mut paused = build(&words);
-            let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, stop) {
-                DriverPhase::Paused(ck) => ck,
-                DriverPhase::Done(_) => panic!("a cut at span/3 must land mid-run"),
-            };
-            assert!(ckpt.queries_run < 12, "the pause split the workload");
-            assert!(ckpt.queries_run > 0, "some queries completed before the cut");
+        let mut paused = build(&words);
+        let ckpt = match run_driver_until(&mut paused, "word", &words, &cfg, stop) {
+            DriverPhase::Paused(ck) => ck,
+            DriverPhase::Done(_) => panic!("a cut at span/3 must land mid-run"),
+        };
+        assert!(ckpt.queries_run < 12, "the pause split the workload");
+        assert!(ckpt.queries_run > 0, "some queries completed before the cut");
 
-            let bytes = Snapshot::capture_paused(&paused, ckpt).to_bytes();
-            let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
-            let mut thawed = snap.restore_engine(paused.config());
-            let resumed = resume_driver(
-                &mut thawed,
-                "word",
-                &words,
-                &cfg,
-                snap.driver.clone().expect("driver image rides along"),
-            );
-            assert_eq!(
-                json(&resumed),
-                baseline,
-                "cache={:?} shards={shards}: resume diverged from the uninterrupted run",
-                cache.any_enabled()
-            );
-        }
+        let bytes = Snapshot::capture_paused(&paused, ckpt).to_bytes();
+        let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
+        let mut thawed = snap.restore_engine(paused.config());
+        let resumed = resume_driver(
+            &mut thawed,
+            "word",
+            &words,
+            &cfg,
+            snap.driver.clone().expect("driver image rides along"),
+        );
+        assert_eq!(
+            json(&resumed),
+            baseline,
+            "cache={:?}: resume diverged from the uninterrupted run",
+            cache.any_enabled()
+        );
     }
 }
 
@@ -112,7 +108,7 @@ fn paused_run_resumes_to_a_byte_identical_report() {
 #[test]
 fn checkpoint_mid_fault_plan_resumes_byte_identically() {
     let words = words();
-    let mut cfg = workload(BrokerConfig::default(), 2);
+    let mut cfg = workload(BrokerConfig::default());
     cfg.repair = Some(sqo_overlay::ReplicationPolicy::default());
     cfg.faults = FaultPlan {
         events: vec![
@@ -143,14 +139,14 @@ fn checkpoint_mid_fault_plan_resumes_byte_identically() {
         DriverPhase::Done(_) => panic!("a cut at 1s must land mid-run"),
     };
     let pending_clear =
-        ckpt.queue.entries.iter().any(|(_, _, _, ev)| matches!(ev, EvSnap::FaultClear { .. }));
+        ckpt.queue.entries.iter().any(|(_, _, ev)| matches!(ev, EvSnap::FaultClear { .. }));
     assert!(pending_clear, "the cut landed inside the loss spike");
     assert!(
         !ckpt
             .queue
             .entries
             .iter()
-            .any(|(at, _, _, ev)| matches!(ev, EvSnap::Fault { .. }) && *at < 1_000_000),
+            .any(|(at, _, ev)| matches!(ev, EvSnap::Fault { .. }) && *at < 1_000_000),
         "all scripted faults before the cut have fired"
     );
 
@@ -176,14 +172,14 @@ fn forks_of_one_warm_world_are_mutually_byte_identical() {
     let mut template = build(&words);
     // Warm it: a completed run advances the network RNG, counters, and
     // leaves a populated broker installed.
-    let warm_cfg = workload(BrokerConfig::enabled(), 1);
+    let warm_cfg = workload(BrokerConfig::enabled());
     run_driver(&mut template, "word", &words, &warm_cfg);
 
     let bytes = Snapshot::capture(&template).to_bytes();
     let snap = Snapshot::from_bytes(&bytes).expect("artifact decodes");
     assert!(snap.world.broker.is_some(), "the warm broker is part of the world");
 
-    let cfg = workload(BrokerConfig::enabled(), 2);
+    let cfg = workload(BrokerConfig::enabled());
     let reports: Vec<String> = snap
         .fork(template.config(), 3)
         .iter_mut()
@@ -199,7 +195,7 @@ fn forks_of_one_warm_world_are_mutually_byte_identical() {
 }
 
 /// The scale core's image rides the same artifact: a paused serial run
-/// resumes — serial, sharded, or threaded — onto the exact outcome of
+/// resumes — serial or sharded — onto the exact outcome of
 /// the uninterrupted run, with the topology re-derived from the restored
 /// world.
 #[test]
@@ -222,9 +218,8 @@ fn scale_checkpoint_rides_the_artifact_and_resumes_exactly() {
     let topo2 = Topology::of_network(thawed.network());
     let (serial, _) = resume_serial(&topo2, &cfg, ckpt);
     assert_eq!(serial, full, "serial resume diverged");
-    let sharded_cfg = ScaleConfig { shards: 2, threads: true, ..cfg };
-    let (sharded, _) = resume_sharded(&topo2, &sharded_cfg, ckpt);
-    assert_eq!(sharded, full, "threaded sharded resume diverged");
+    let (sharded, _) = resume_sharded(&topo2, &ScaleConfig { shards: 2, ..cfg }, ckpt);
+    assert_eq!(sharded, full, "sharded resume diverged");
 }
 
 /// The artifact is a fixed point of decode→encode, and the envelope
@@ -250,6 +245,13 @@ fn envelope_is_versioned_and_decode_is_total() {
         SnapError::SchemaMismatch { found: SCHEMA_VERSION + 1, expected: SCHEMA_VERSION }
     );
     assert_eq!(err.exit_code(), 3, "parity with the bench regress gate's EXIT_MISMATCH");
+    // Schema 2 carried the event-queue lane count; its driver images no
+    // longer decode, so the envelope refuses them up front.
+    skewed[4..8].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        Snapshot::from_bytes(&skewed).unwrap_err(),
+        SnapError::SchemaMismatch { found: 2, expected: 3 }
+    );
 
     // Truncations and trailing garbage fail with an error, never a panic.
     for cut in [bytes.len() / 2, bytes.len() - 3] {
@@ -296,7 +298,7 @@ fn restored_world_continues_the_original_stream() {
     let snap = Snapshot::capture(&a);
     let mut b = snap.restore_engine(a.config());
 
-    let cfg = workload(BrokerConfig::default(), 1);
+    let cfg = workload(BrokerConfig::default());
     let ra = json(&run_driver(&mut a, "word", &words, &cfg));
     let rb = json(&run_driver(&mut b, "word", &words, &cfg));
     assert_eq!(ra, rb, "capture is an observationally silent operation");

@@ -208,7 +208,7 @@ fn myers(m: usize, n: usize, d: usize, masks: impl Iterator<Item = u64>) -> Opti
         let mh = mh << 1;
         pv = mh | !(xv | ph);
         mv = ph & xv;
-        if score > d + (n - j - 1) {
+        if score > d.saturating_add(n - j - 1) {
             return None;
         }
     }
@@ -236,7 +236,7 @@ fn banded(short: &[char], long: &[char], d: usize) -> Option<usize> {
         let i1 = i + 1;
         // Band for this row: columns j with |i1 - j| <= d.
         let lo = i1.saturating_sub(d);
-        let hi = (i1 + d).min(n);
+        let hi = i1.saturating_add(d).min(n);
         let mut prev_diag = if lo == 0 { i } else { row[lo - 1] };
         let mut row_min = INF;
         // Cell left of the band start is outside the band: unreachable.

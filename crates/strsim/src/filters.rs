@@ -46,10 +46,14 @@ impl FilterConfig {
 /// // "abcde" vs one substitution: 5 - 2 + 1 - 1*2 = 2 shared bigrams required.
 /// assert_eq!(count_filter_threshold(5, 5, 2, 1), 2);
 /// assert!(count_filter_threshold(4, 4, 3, 2) <= 0);
+/// assert!(count_filter_threshold(5, 5, 2, usize::MAX) <= 0); // no wrap
 /// ```
 pub fn count_filter_threshold(len1: usize, len2: usize, q: usize, d: usize) -> i64 {
     let m = len1.max(len2) as i64;
-    m - q as i64 + 1 - (d as i64) * (q as i64)
+    // Saturating: a bound beyond any string length must still read as
+    // "prunes nothing", not wrap into a huge positive threshold.
+    let slack = i64::try_from(d).unwrap_or(i64::MAX).saturating_mul(q as i64);
+    (m - q as i64 + 1).saturating_sub(slack)
 }
 
 /// Length filter: strings within edit distance `d` differ in length by at

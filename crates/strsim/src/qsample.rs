@@ -46,8 +46,8 @@ pub const MIN_SAMPLABLE_FACTOR: usize = 1;
 pub fn qsamples(s: &str, q: usize, d: usize) -> Vec<PositionalQGram> {
     assert!(q >= 1, "q must be at least 1");
     let chars: Vec<char> = s.chars().collect();
-    let wanted = d + 1;
-    let mut out = Vec::with_capacity(wanted);
+    let wanted = d.saturating_add(1);
+    let mut out = Vec::with_capacity(wanted.min(chars.len() / q));
     let mut start = 0usize;
     while out.len() < wanted && start + q <= chars.len() {
         out.push(PositionalQGram {
@@ -63,7 +63,7 @@ pub fn qsamples(s: &str, q: usize, d: usize) -> Vec<PositionalQGram> {
 /// i.e. the q-sample produced by [`qsamples`] is complete for distance `d`.
 #[inline]
 pub fn is_complete_sample(len: usize, q: usize, d: usize) -> bool {
-    len >= (d + 1) * q * MIN_SAMPLABLE_FACTOR
+    len >= d.saturating_add(1).saturating_mul(q).saturating_mul(MIN_SAMPLABLE_FACTOR)
 }
 
 #[cfg(test)]

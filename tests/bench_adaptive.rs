@@ -14,12 +14,11 @@
 //! configuration (`cargo run --release -p sqo-bench --bin latency`);
 //! regenerate it whenever execution economics change.
 
+use sqo_obs::{parse_json, Json};
 use std::collections::BTreeMap;
 
-/// One bench row, extracted from the committed JSON (the generated file
-/// is one scalar field per line, so a full JSON parser is not needed —
-/// the vendored serde_json stand-in is serialize-only).
-#[derive(Debug, Default, Clone)]
+/// One bench row of the committed artifact's `points` array.
+#[derive(Debug)]
 struct Point {
     model: String,
     clients: u64,
@@ -35,62 +34,34 @@ struct Point {
 fn load_points() -> Vec<Point> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_latency.json");
     let text = std::fs::read_to_string(path).expect("committed BENCH_latency.json");
-    let mut points = Vec::new();
-    let mut cur = Point::default();
-    let mut in_obj = false;
+    let a = parse_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
     // The artifact is an envelope since the regression-gate work:
-    // `{schema_version, generated: {...}, points: [...]}`. Only the
-    // objects inside the `points` array are bench rows — the `generated`
-    // block's nested closes must not push spurious points.
-    let mut in_points = false;
-    let mut schema_version = 0u64;
-    for line in text.lines() {
-        let line = line.trim();
-        if !in_points {
-            if let Some((key, value)) = line.split_once(':') {
-                if key.trim().trim_matches('"') == "schema_version" {
-                    schema_version = value.trim().trim_end_matches(',').parse().unwrap_or(0);
-                }
+    // `{schema_version, generated: {...}, points: [...]}`.
+    let schema_version = a.get("schema_version").and_then(Json::as_u64);
+    assert_eq!(schema_version, Some(1), "artifact must carry schema_version 1 (envelope shape)");
+    let rows = a.get("points").and_then(Json::as_array).expect("points array");
+    let points: Vec<Point> = rows
+        .iter()
+        .map(|p| {
+            let s = |key: &str| -> String {
+                p.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("field {key}")).into()
+            };
+            let u = |key: &str| -> u64 {
+                p.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("field {key}"))
+            };
+            Point {
+                model: s("model"),
+                clients: u("clients"),
+                cache: s("cache"),
+                api: s("api"),
+                window: s("window"),
+                operator: s("operator"),
+                p50_us: u("p50_us"),
+                p99_us: u("p99_us"),
+                queue_us: u("queue_us"),
             }
-            if line.starts_with("\"points\"") {
-                in_points = true;
-            }
-            continue;
-        }
-        if line.starts_with(']') {
-            break;
-        }
-        if line.starts_with('{') {
-            in_obj = true;
-            cur = Point::default();
-            continue;
-        }
-        if line.starts_with('}') {
-            if in_obj {
-                points.push(cur.clone());
-            }
-            in_obj = false;
-            continue;
-        }
-        let Some((key, value)) = line.split_once(':') else { continue };
-        let key = key.trim().trim_matches('"');
-        let value = value.trim().trim_end_matches(',');
-        let as_str = || value.trim_matches('"').to_string();
-        let as_u64 = || value.parse::<f64>().unwrap_or(0.0) as u64;
-        match key {
-            "model" => cur.model = as_str(),
-            "clients" => cur.clients = as_u64(),
-            "cache" => cur.cache = as_str(),
-            "api" => cur.api = as_str(),
-            "window" => cur.window = as_str(),
-            "operator" => cur.operator = as_str(),
-            "p50_us" => cur.p50_us = as_u64(),
-            "p99_us" => cur.p99_us = as_u64(),
-            "queue_us" => cur.queue_us = as_u64(),
-            _ => {}
-        }
-    }
-    assert_eq!(schema_version, 1, "artifact must carry schema_version 1 (envelope shape)");
+        })
+        .collect();
     assert!(!points.is_empty(), "no points parsed from {path}");
     points
 }

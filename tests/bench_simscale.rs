@@ -3,8 +3,8 @@
 //! * the build sweep reaches 10⁵ peers and the arena-backed overlay
 //!   stays under a third of the seed's 5 649 B/peer resident footprint,
 //! * the event-core sweep drives the 10³-query workload, and the sharded
-//!   windowed core (shards ≥ 2, single-threaded — the 1-core CI box)
-//!   beats the serial heap baseline by ≥ 1.5× events/sec,
+//!   windowed core (shards ≥ 2, single-threaded) beats the serial heap
+//!   baseline by ≥ 1.5× events/sec,
 //! * every engine configuration produced the same `ScaleOutcome`
 //!   (`deterministic: true`, equal checksums),
 //! * the `sim.*` metric gauges are wired into the artifact.
@@ -13,115 +13,80 @@
 //! `cargo run --release -p sqo-bench --bin simscale`; regenerate it
 //! whenever overlay state or event-core economics change.
 
+use sqo_obs::{parse_json, Json};
+
 /// One `builds[]` entry.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug)]
 struct Build {
     peers: u64,
     rss_per_peer_bytes: u64,
 }
 
 /// One `scale[]` entry.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug)]
 struct Scale {
     mode: String,
     shards: u64,
-    threads: bool,
     queries: u64,
     queries_done: u64,
     events_per_sec: f64,
-    checksum: String,
+    /// Kept as the parsed number: equal artifact text parses to equal
+    /// values, and exact equality is all the checksum pin needs.
+    checksum: f64,
 }
 
-/// Top-level scalars plus the two point lists, extracted line-wise (the
-/// generated file keeps one scalar field per line, so a full JSON parser
-/// is unnecessary — the vendored serde_json stand-in is serialize-only).
-#[derive(Debug, Default)]
+/// Top-level scalars plus the two point lists.
+#[derive(Debug)]
 struct Report {
     schema_version: u64,
     seed_rss_per_peer_bytes: u64,
     deterministic: bool,
     builds: Vec<Build>,
     scale: Vec<Scale>,
-    /// Every `sim.*` metric name in the registry (gauges, counters and
-    /// histogram keys alike).
+    /// Every metric name in the registry (gauges, counters and histogram
+    /// keys alike).
     gauges: Vec<String>,
+}
+
+fn num(v: &Json, key: &str) -> f64 {
+    v.get(key).and_then(Json::as_f64).unwrap_or_else(|| panic!("field {key}"))
 }
 
 fn load_report() -> Report {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_simscale.json");
     let text = std::fs::read_to_string(path).expect("committed BENCH_simscale.json");
-    let mut r = Report::default();
-    let mut depth = 0i32;
-    let mut build = Build::default();
-    let mut scale = Scale::default();
-    let mut is_scale = false;
-    // The `generated` metadata block (regression-gate envelope) carries
-    // `peers`/`queries` keys of its own at object depth 2 — everything
-    // inside it must be skipped, or it would masquerade as a build point.
-    let mut skip_until: Option<i32> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.ends_with('{') {
-            depth += 1;
-            if skip_until.is_none() && line.starts_with("\"generated\"") {
-                skip_until = Some(depth);
-            }
-            // Histogram entries open objects keyed by metric name.
-            if let Some((key, _)) = line.split_once(':') {
-                let key = key.trim().trim_matches('"');
-                if skip_until.is_none() && key.starts_with("sim.") {
-                    r.gauges.push(key.to_string());
-                }
-            }
-            if depth == 2 && skip_until.is_none() {
-                build = Build::default();
-                scale = Scale::default();
-                is_scale = false;
-            }
-            continue;
-        }
-        if line.starts_with('}') || line.starts_with("},") {
-            if let Some(d) = skip_until {
-                if depth == d {
-                    skip_until = None;
-                }
-            } else if depth == 2 {
-                if is_scale {
-                    r.scale.push(scale.clone());
-                } else if build.peers > 0 {
-                    r.builds.push(build.clone());
-                }
-            }
-            depth -= 1;
-            continue;
-        }
-        if skip_until.is_some() {
-            continue;
-        }
-        let Some((key, value)) = line.split_once(':') else { continue };
-        let key = key.trim().trim_matches('"');
-        let value = value.trim().trim_end_matches(',');
-        let as_u64 = || value.parse::<f64>().unwrap_or(0.0) as u64;
-        match (depth, key) {
-            (1, "schema_version") => r.schema_version = as_u64(),
-            (1, "seed_rss_per_peer_bytes") => r.seed_rss_per_peer_bytes = as_u64(),
-            (1, "deterministic") => r.deterministic = value == "true",
-            (2, "peers") => build.peers = as_u64(),
-            (2, "rss_per_peer_bytes") => build.rss_per_peer_bytes = as_u64(),
-            (2, "mode") => {
-                scale.mode = value.trim_matches('"').to_string();
-                is_scale = true;
-            }
-            (2, "shards") => scale.shards = as_u64(),
-            (2, "threads") => scale.threads = value == "true",
-            (2, "queries") => scale.queries = as_u64(),
-            (2, "queries_done") => scale.queries_done = as_u64(),
-            (2, "events_per_sec") => scale.events_per_sec = value.parse().unwrap_or(0.0),
-            (2, "checksum") => scale.checksum = value.to_string(),
-            (d, _) if d >= 3 && key.starts_with("sim.") => r.gauges.push(key.to_string()),
-            _ => {}
-        }
-    }
+    let a = parse_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+    let points = |key: &str| -> &[Json] {
+        a.get(key).and_then(Json::as_array).unwrap_or_else(|| panic!("{key} array"))
+    };
+    let r = Report {
+        schema_version: num(&a, "schema_version") as u64,
+        seed_rss_per_peer_bytes: num(&a, "seed_rss_per_peer_bytes") as u64,
+        deterministic: a.get("deterministic").and_then(Json::as_bool) == Some(true),
+        builds: points("builds")
+            .iter()
+            .map(|b| Build {
+                peers: num(b, "peers") as u64,
+                rss_per_peer_bytes: num(b, "rss_per_peer_bytes") as u64,
+            })
+            .collect(),
+        scale: points("scale")
+            .iter()
+            .map(|s| Scale {
+                mode: s.get("mode").and_then(Json::as_str).expect("mode").to_string(),
+                shards: num(s, "shards") as u64,
+                queries: num(s, "queries") as u64,
+                queries_done: num(s, "queries_done") as u64,
+                events_per_sec: num(s, "events_per_sec"),
+                checksum: num(s, "checksum"),
+            })
+            .collect(),
+        gauges: ["gauges", "counters", "histograms"]
+            .iter()
+            .filter_map(|kind| a.path(&["metrics", kind]).and_then(Json::as_object))
+            .flat_map(|m| m.keys().cloned())
+            .collect(),
+    };
     assert_eq!(r.schema_version, 1, "artifact must carry schema_version 1 (envelope shape)");
     assert!(!r.builds.is_empty() && !r.scale.is_empty(), "no points parsed from {path}");
     r
@@ -150,8 +115,7 @@ fn sharded_core_beats_serial_by_1_5x() {
     let serial = r.scale.iter().find(|s| s.mode == "serial").expect("a serial baseline point");
     assert_eq!(serial.queries, 1_000, "the 10^3-query sweep");
     assert!(serial.events_per_sec > 0.0);
-    let sharded: Vec<_> =
-        r.scale.iter().filter(|s| s.mode == "sharded" && s.shards >= 2 && !s.threads).collect();
+    let sharded: Vec<_> = r.scale.iter().filter(|s| s.mode == "sharded" && s.shards >= 2).collect();
     assert!(sharded.len() >= 2, "sharded sweep covers at least two shard counts");
     for s in &sharded {
         assert!(
@@ -179,7 +143,7 @@ fn all_engines_agreed_and_completed() {
 
 /// The `sim.*` gauges are folded into the artifact's metrics registry —
 /// including the per-shard telemetry of the windowed core (occupancy,
-/// imbalance, conservative-window stalls, mailbox depths, and the
+/// imbalance, conservative-window stalls, and the
 /// events-per-shard histogram).
 #[test]
 fn sim_metrics_are_exported() {
@@ -192,10 +156,8 @@ fn sim_metrics_are_exported() {
         "sim.shard.events_max",
         "sim.shard.events_min",
         "sim.shard.imbalance",
-        "sim.shard.mailbox_peak",
         "sim.shard.windows_swept",
         "sim.shard.empty_windows",
-        "sim.shard.mailbox_events",
         "sim.shard.events",
     ] {
         assert!(r.gauges.iter().any(|x| x == g), "metric {g} missing from registry");
